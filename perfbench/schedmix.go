@@ -358,10 +358,13 @@ func runSchedMix(cfg *config) (*outcome, error) {
 	}
 	// The closed loop admits as fast as sessions finish, so a window's
 	// admissions over its length is its completion rate.
-	var rate, p50, p99 []float64
+	// The tail is each window's p90. The p99 follows the moments the host
+	// stalled one worker's vCPU, and its median spread 22% over ten runs.
+	var rate, p50, p90, p99 []float64
 	for w, lat := range byWindow {
 		rate = append(rate, float64(windowAdmits[w])/windowSecs[w])
 		p50 = append(p50, median(lat))
+		p90 = append(p90, percentile(lat, 0.9))
 		p99 = append(p99, percentile(lat, 0.99))
 	}
 	var checked, wrong int64
@@ -377,9 +380,10 @@ func runSchedMix(cfg *config) (*outcome, error) {
 		setupS:      setupS,
 		throughput:  median(rate),
 		latencyP50:  median(p50),
-		latencyTail: median(p99),
+		latencyTail: median(p90),
 	}
 	out.layers = layerMetrics{
+		"sched.session_p99_us":    median(p99),
 		"sched.steals_per_1k":     float64(steals) / n * 1e3,
 		"proc.gc_per_1k_sessions": float64(pd.gcs) / n * 1e3,
 		"proc.allocs_per_session": float64(pd.allocs) / n,

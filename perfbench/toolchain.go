@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"strings"
 	"time"
 
@@ -339,9 +340,11 @@ func runToolchain(cfg *config) (*outcome, error) {
 	}
 	out := &outcome{}
 	var st toolStats
-	// times[i] holds protocol i's wall time in µs, one per pass. Each
-	// protocol is summarised by its median over the passes, so one pass
-	// slowed by CPU that other tenants took does not move the result.
+	// times[i] holds protocol i's CPU time in µs (user and system, every
+	// thread, the garbage collector's included), one per pass. Unlike wall
+	// time it leaves out the time the hypervisor gave other guests, which
+	// moved wall-clock passes by a quarter between runs. Each protocol is
+	// summarised by its median over the passes.
 	times := make([][]float64, len(corpus))
 	deadline := time.Now().Add(cfg.run)
 	// Whole passes only: a pass started before the deadline runs to its end.
@@ -354,9 +357,9 @@ func runToolchain(cfg *config) (*outcome, error) {
 			// previous protocol (gigabytes after Optimised FFT's k-MC)
 			// lands on whichever protocol follows it.
 			runtime.GC()
-			start := time.Now()
+			start := cpuTime()
 			res, err := pipeline(cfg, in, sess, &st)
-			d := time.Since(start)
+			d := cpuTime() - start
 			if err != nil {
 				out.failed++
 				fmt.Fprintf(os.Stderr, "perfbench: toolchain: %s: %v\n", in.name, err)
@@ -380,11 +383,16 @@ func runToolchain(cfg *config) (*outcome, error) {
 			passUs += m
 		}
 	}
+	if len(perProtocol) == 0 {
+		return nil, fmt.Errorf("no protocol of the corpus ran")
+	}
+	// The corpus has fewer than forty protocols, too few for a percentile
+	// above the median; the tail is its slowest protocol.
 	out.e2e = e2eMetrics{
 		setupS:      setupS,
 		throughput:  float64(len(perProtocol)) / (passUs / 1e6),
 		latencyP50:  median(append([]float64(nil), perProtocol...)),
-		latencyTail: percentile(perProtocol, 0.9),
+		latencyTail: slices.Max(perProtocol),
 	}
 	passes := float64(st.passes)
 	out.layers = layerMetrics{

@@ -278,9 +278,11 @@ var perLayer = []struct{ name, unit string }{
 	{"fft.stage_us", "us"},
 	{"sched.admit_us", "us"},
 	{"sched.steals_per_1k", "count"},
+	{"sched.session_p99_us", "us"},
 	{"netchan.setup_ms", "ms"},
 	{"wire.encode_ns", "ns"},
 	{"wire.decode_ns", "ns"},
+	{"wire.rtt_p99_us", "us"},
 	{"proc.cpu_util", "cores"},
 	{"proc.cpu_us_per_msg", "us"},
 	{"proc.ctxsw_per_msg", "count"},
@@ -381,6 +383,17 @@ func (a procSnap) to(b procSnap) procDelta {
 	}
 }
 
+// cpuTime is this process's CPU time so far, user and system. With
+// paravirtual time accounting the kernel leaves out time the hypervisor
+// gave to other guests.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // peakRSSMB is the process's peak resident set so far, in MB.
 func peakRSSMB() float64 { return float64(readProc().peakRSSBytes) / (1 << 20) }
 
@@ -412,7 +425,7 @@ func percentile(xs []float64, q float64) float64 {
 
 // setupRuns is how many times a run builds its set-up; setup_s is the
 // median, so one slow build (a page-cache miss, a GC) does not move it.
-const setupRuns = 21
+const setupRuns = 41
 
 // repeatSetup builds the workload's set-up setupRuns times, discards all
 // but the last product, and returns it with the median build time in s.
